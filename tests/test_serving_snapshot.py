@@ -4,8 +4,7 @@ The unit half exercises :class:`~repro.serving.SnapshotManager` mechanics
 directly (publish / pin / retire accounting).  The property half is the
 serving layer's core guarantee, end to end: a reader pinned at version *v*
 keeps observing bag-identical view contents no matter how many refresh
-commits land concurrently — under both column backends and under the
-``REPRO_WORKERS=2`` sharded executor.
+commits land concurrently — under both column backends.
 """
 
 import pytest
@@ -124,8 +123,8 @@ def test_publish_event_wakes_blocked_waiters():
 
 # ------------------------------------------------- pinned-reader bag identity
 
-def serving_warehouse(workers):
-    wh = Warehouse(WarehouseConfig.profile("fast", workers=workers))
+def serving_warehouse():
+    wh = Warehouse(WarehouseConfig.profile("fast"))
     wh.load(scale=0.05)
     wh.load_data(scale=0.002)
     wh.define_view(
@@ -140,9 +139,8 @@ def serving_warehouse(workers):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pinned_reader_is_bag_identical_across_refresh_commits(backend, workers):
-    """The serving layer's core property, per backend and worker count.
+def test_pinned_reader_is_bag_identical_across_refresh_commits(backend):
+    """The serving layer's core property, per column backend.
 
     A reader pins version *v*, remembers the exact bag it saw, and keeps
     re-reading through the handle while refresh commits publish newer
@@ -151,7 +149,7 @@ def test_pinned_reader_is_bag_identical_across_refresh_commits(backend, workers)
     stream really did change the view).
     """
     with forced_backend(backend):
-        wh = serving_warehouse(workers)
+        wh = serving_warehouse()
         with wh.serve(read_policy="serve-stale") as session:
             pinned = session.pin()
             baseline = Relation(pinned.view("v_rev").schema, pinned.view("v_rev").rows)
